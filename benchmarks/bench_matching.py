@@ -1,64 +1,72 @@
-"""Ablation A2: b-matching engine equivalence and speed.
+"""Ablation A2: the two exact b-matching solvers on both regimes.
 
-``Offline_MaxMatch`` can solve its matching with our from-scratch
-min-cost flow, scipy's Jonker–Volgenant assignment on expanded copies,
-or the HiGHS LP over the (totally unimodular) b-matching polytope.
-All three are exact; this benchmark times them on a paper-scale
-instance and asserts they return the same optimum.
+:func:`repro.core.matching.max_weight_b_matching` solves by scipy's
+assignment solver when the expanded copies × slots matrix has at most
+``_LSA_MAX_ENTRIES`` entries and by the HiGHS LP otherwise.  This
+benchmark times both solvers on one per-interval instance (an
+``Online_MaxMatch`` probe interval) and one whole-tour instance
+(``Offline_MaxMatch``) at n = 600, fixed power 0.3 W, asserts they reach
+the same optimum, and checks which side of the threshold each instance
+falls on.  It reports times and does not assert which solver is faster.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.offline_maxmatch import build_matching_edges, offline_maxmatch
+from repro.core.matching import (
+    _LSA_MAX_ENTRIES,
+    _effective_copies,
+    _prepare,
+    _solve_lp,
+    _solve_lsa,
+)
+from repro.core.offline_maxmatch import build_matching_edges
 from repro.sim.scenario import ScenarioConfig
+from repro.utils.intervals import SlotInterval
 
-ENGINES = ["flow", "lsa", "lp"]
-
-
-@pytest.fixture(scope="module")
-def instance():
-    # n=200 keeps the dense LSA expansion affordable while staying
-    # representative (edges ~ 200 * 80).
-    scenario = ScenarioConfig(num_sensors=200, fixed_power=0.3).build(seed=5)
-    return scenario.instance()
+SOLVERS = {"lsa": _solve_lsa, "lp": _solve_lp}
 
 
 @pytest.fixture(scope="module")
-def reference_bits(instance):
-    return offline_maxmatch(instance, engine="lp").collected_bits(instance)
+def scenario():
+    return ScenarioConfig(num_sensors=600, fixed_power=0.3).build(seed=7)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_matching_engine(benchmark, instance, reference_bits, engine):
-    allocation = benchmark.pedantic(
-        lambda: offline_maxmatch(instance, engine=engine), rounds=1, iterations=1
-    )
-    assert allocation.collected_bits(instance) == pytest.approx(reference_bits)
+def _prepared(instance):
+    edges, caps = build_matching_edges(instance, fixed_power=0.3)
+    return _prepare(edges, caps, instance.num_slots), instance.num_slots
 
 
-def test_auction_engine_within_epsilon(benchmark, instance, reference_bits):
-    """The ε-optimal auction engine on a per-interval-sized problem
-    (tour-scale dense matrices exceed its memory guard by design)."""
-    from repro.core.auction import auction_b_matching
-    from repro.core.offline_maxmatch import build_matching_edges
-    from repro.utils.intervals import SlotInterval
+@pytest.fixture(scope="module")
+def instances(scenario):
+    tour = scenario.instance()
+    middle = tour.num_slots // 2
+    interval, _ = tour.restrict(SlotInterval(middle, middle + scenario.gamma - 1))
+    return {"interval": _prepared(interval), "tour": _prepared(tour)}
 
-    sub, _ = instance.restrict(SlotInterval(0, 39))
-    edges, caps = build_matching_edges(sub, fixed_power=0.3)
+
+@pytest.fixture(scope="module")
+def reference_weights(instances):
+    return {
+        name: _solve_lp(*prepared, num_right).weight
+        for name, (prepared, num_right) in instances.items()
+    }
+
+
+@pytest.mark.parametrize("size", ["interval", "tour"])
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_matching_solver(benchmark, instances, reference_weights, solver, size):
+    prepared, num_right = instances[size]
     result = benchmark.pedantic(
-        lambda: auction_b_matching(edges, caps, sub.num_slots), rounds=1, iterations=1
+        lambda: SOLVERS[solver](*prepared, num_right), rounds=3, iterations=1
     )
-    from repro.core.matching import max_weight_b_matching
-
-    exact = max_weight_b_matching(edges, caps, sub.num_slots, engine="flow")
-    max_w = max(w for _, _, w in edges)
-    assert result.weight >= exact.weight - max_w * 1e-3
-    assert result.weight <= exact.weight + 1e-9
+    assert result.weight == reference_weights[size]
 
 
-def test_edge_count_scale(instance):
-    edges, caps = build_matching_edges(instance)
-    assert len(edges) > 1000  # paper-scale graph, not a toy
-    assert caps.max() > 0
+def test_instances_straddle_threshold(instances):
+    entries = {
+        name: int(_effective_copies(prepared[0], prepared[3]).sum()) * num_right
+        for name, (prepared, num_right) in instances.items()
+    }
+    assert 0 < entries["interval"] <= _LSA_MAX_ENTRIES < entries["tour"]

@@ -8,39 +8,39 @@ problem is really a **b-matching**: left node ``i`` may be matched to up
 to ``c_i`` right nodes, every right node to at most one left node,
 maximising total edge weight.
 
-Three interchangeable engines (cross-validated in the test suite):
+Two exact solvers, chosen from the input size (no caller picks one):
 
-* ``"flow"`` — our own min-cost flow (:mod:`repro.core.mcmf`) on the
-  compact graph (no copies), stopping at the first non-improving
-  augmenting path.  Exact; the reference implementation.
-* ``"lsa"`` — expand copies and call
-  :func:`scipy.optimize.linear_sum_assignment` on a dense rectangular
-  matrix (0-weight for non-edges).  Exact; fastest for small/medium
-  instances.
-* ``"lp"`` — the b-matching LP solved with HiGHS dual simplex.  The
+* :func:`scipy.optimize.linear_sum_assignment` on the dense
+  ``copies × right`` matrix (0-weight for non-edges) when that matrix has
+  at most :data:`_LSA_MAX_ENTRIES` entries — the small per-interval
+  matchings of ``Online_MaxMatch``;
+* otherwise the b-matching LP solved with HiGHS dual simplex.  The
   constraint matrix is totally unimodular, so the vertex optimum is
-  integral.  Exact; scales to the full offline tour-sized instances.
+  integral — the whole-tour matchings of ``Offline_MaxMatch``.
 
-The online per-interval matchings are tiny (tens of nodes) and use the
-flow engine; the offline whole-tour matching defaults to ``"lp"``.
+The min-cost-flow formulation lives on in the test suite as the
+reference both are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.core.mcmf import MinCostFlow
 from repro.obs import get_registry
 
 __all__ = ["MatchingResult", "max_weight_b_matching"]
 
-Engine = Literal["flow", "lsa", "lp", "auction", "auto"]
-
 #: Edges below this weight are dropped (they cannot improve the matching).
 _WEIGHT_EPS = 1e-12
+
+#: Largest dense ``copies × right`` matrix handed to the assignment
+#: solver; larger inputs go to the LP.  Measured at fixed power 0.3 W:
+#: per-interval matchings reach ~16k entries and solve faster by
+#: assignment, whole-tour matchings start at ~150k and solve faster by LP.
+_LSA_MAX_ENTRIES = 65_536
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,16 @@ class MatchingResult:
         return out
 
 
-def _check_inputs(
+def _prepare(
     edges: Sequence[Tuple[int, int, float]],
     left_capacities: Sequence[int],
     num_right: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate the inputs; drop non-positive edges and lighter parallels.
+
+    Returns ``(u, v, w, caps)`` arrays, one entry of ``u, v, w`` per
+    kept edge, ordered by ``(left, right)``.
+    """
     caps = np.asarray(left_capacities, dtype=np.int64)
     if caps.ndim != 1:
         raise ValueError("left_capacities must be 1-D")
@@ -82,14 +87,27 @@ def _check_inputs(
         raise ValueError("edge right endpoint out of range")
     if not np.all(np.isfinite(w)):
         raise ValueError("edge weights must be finite")
-    return u, v, w, caps
+    keep = w > _WEIGHT_EPS
+    u, v, w = u[keep], v[keep], w[keep]
+    key = u * np.int64(num_right) + v
+    order = np.lexsort((-w, key))
+    key_sorted = key[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = key_sorted[1:] != key_sorted[:-1]
+    sel = order[first]
+    return u[sel], v[sel], w[sel], caps
+
+
+def _effective_copies(u: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Per-left copy counts: a left node never needs more copies than it
+    has incident edges."""
+    return np.minimum(caps, np.bincount(u, minlength=caps.size))
 
 
 def max_weight_b_matching(
     edges: Sequence[Tuple[int, int, float]],
     left_capacities: Sequence[int],
     num_right: int,
-    engine: Engine = "auto",
 ) -> MatchingResult:
     """Compute a maximum-weight bipartite b-matching.
 
@@ -103,99 +121,44 @@ def max_weight_b_matching(
         ``c_i`` per left node (the paper's ``n_i'`` copy counts).
     num_right:
         Number of right nodes (time slots).
-    engine:
-        ``"flow"``, ``"lsa"``, ``"lp"`` or ``"auto"`` (size-based choice).
 
     Returns
     -------
     MatchingResult
         Optimal matching; every right node appears at most once and left
-        node ``i`` appears at most ``c_i`` times.
+        node ``i`` appears at most ``c_i`` times.  Pairs are sorted.
 
     Notes
     -----
     Records ``matching.calls`` / ``matching.edges`` counters and a
-    ``matching.<engine>`` timer to the :mod:`repro.obs` registry.
+    ``matching.lsa`` or ``matching.lp`` timer (naming the solver that
+    ran) to the :mod:`repro.obs` registry.
     """
-    u, v, w, caps = _check_inputs(edges, left_capacities, num_right)
-    keep = w > _WEIGHT_EPS
-    u, v, w = u[keep], v[keep], w[keep]
+    u, v, w, caps = _prepare(edges, left_capacities, num_right)
     if u.size == 0:
         return MatchingResult((), 0.0)
-
-    # Deduplicate parallel edges, keeping the heaviest.
-    key = u * np.int64(num_right) + v
-    order = np.lexsort((-w, key))
-    key_sorted = key[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = key_sorted[1:] != key_sorted[:-1]
-    sel = order[first]
-    u, v, w = u[sel], v[sel], w[sel]
-
-    if engine == "auto":
-        engine = "flow" if u.size <= 4000 else "lp"
-    if engine not in ("flow", "lsa", "lp", "auction"):
-        raise ValueError(f"unknown matching engine {engine!r}")
+    dense_entries = int(_effective_copies(u, caps).sum()) * num_right
+    name, solve = (
+        ("lsa", _solve_lsa) if dense_entries <= _LSA_MAX_ENTRIES else ("lp", _solve_lp)
+    )
     registry = get_registry()
     registry.inc("matching.calls")
     registry.inc("matching.edges", float(u.size))
-    with registry.timed(f"matching.{engine}"):
-        if engine == "flow":
-            return _solve_flow(u, v, w, caps, num_right)
-        if engine == "lsa":
-            return _solve_lsa(u, v, w, caps, num_right)
-        if engine == "lp":
-            return _solve_lp(u, v, w, caps, num_right)
-        # ε-optimal (see repro.core.auction); kept out of "auto".
-        from repro.core.auction import auction_b_matching
-
-        return auction_b_matching(list(zip(u, v, w)), caps, num_right)
+    with registry.timed(f"matching.{name}"):
+        return solve(u, v, w, caps, num_right)
 
 
 # ----------------------------------------------------------------------
-def _solve_flow(
-    u: np.ndarray, v: np.ndarray, w: np.ndarray, caps: np.ndarray, num_right: int
-) -> MatchingResult:
-    """Compact min-cost flow: source → left (cap c_i) → right (cap 1) → sink."""
-    num_left = caps.size
-    source = num_left + num_right
-    sink = source + 1
-    net = MinCostFlow(sink + 1)
-    for i in range(num_left):
-        if caps[i] > 0:
-            net.add_edge(source, i, float(caps[i]), 0.0)
-    edge_ids = np.empty(u.size, dtype=np.int64)
-    for k in range(u.size):
-        edge_ids[k] = net.add_edge(int(u[k]), num_left + int(v[k]), 1.0, -float(w[k]))
-    for j in range(num_right):
-        net.add_edge(num_left + j, sink, 1.0, 0.0)
-    _, cost = net.solve(source, sink, only_negative_paths=True)
-    pairs = []
-    weight = 0.0
-    for k in range(u.size):
-        if net.flow_on(int(edge_ids[k])) > 0.5:
-            pairs.append((int(u[k]), int(v[k])))
-            weight += float(w[k])
-    return MatchingResult(tuple(sorted(pairs)), weight)
-
-
 def _solve_lsa(
     u: np.ndarray, v: np.ndarray, w: np.ndarray, caps: np.ndarray, num_right: int
 ) -> MatchingResult:
     """Expand left copies and run the Jonker–Volgenant assignment."""
     from scipy.optimize import linear_sum_assignment
 
-    # A left node never needs more copies than it has incident edges.
-    degree = np.bincount(u, minlength=caps.size)
-    eff_caps = np.minimum(caps, degree)
+    eff_caps = _effective_copies(u, caps)
     total_copies = int(eff_caps.sum())
     if total_copies == 0:
         return MatchingResult((), 0.0)
-    if total_copies * num_right > 50_000_000:
-        raise MemoryError(
-            f"lsa engine would allocate a {total_copies}x{num_right} dense matrix; "
-            "use engine='lp' or 'flow'"
-        )
     copy_owner = np.repeat(np.arange(caps.size), eff_caps)
     first_copy = np.zeros(caps.size, dtype=np.int64)
     first_copy[1:] = np.cumsum(eff_caps)[:-1]

@@ -14,7 +14,7 @@ Two grids:
 
 Each cell solves one seeded topology under a fresh recording
 :class:`~repro.obs.registry.MetricsRegistry`, so the JSON document
-carries solver counters (``knapsack.calls``, ``mcmf.solves``, …) and
+carries solver counters (``knapsack.calls``, ``matching.calls``, …) and
 timer histograms next to the wall-clock numbers.  ``repeat > 1`` runs
 every cell that many times and reports the min/median wall clock per
 cell (``wall_s`` is the minimum — the least-noisy repeat), cutting

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.instance import DataCollectionInstance
-from repro.core.matching import Engine, max_weight_b_matching
+from repro.core.matching import max_weight_b_matching
 from repro.online.framework import OnlineResult, run_online
 
 __all__ = ["MatchingIntervalScheduler", "online_maxmatch"]
@@ -35,13 +35,9 @@ class MatchingIntervalScheduler:
         The single transmission power ``P'`` (W).  ``None`` auto-detects
         it per interval from the sub-instance (requiring single-power
         data).
-    engine:
-        Matching engine; intervals are small, the exact ``flow`` engine
-        is the default.
     """
 
     fixed_power: Optional[float] = None
-    engine: Engine = "flow"
 
     def schedule(self, sub_instance: DataCollectionInstance) -> Allocation:
         """Optimal interval schedule via maximum-weight matching."""
@@ -66,7 +62,7 @@ class MatchingIntervalScheduler:
             slots = data.slot_indices()
             for k in np.flatnonzero(data.rates > 0):
                 edges.append((i, int(slots[k]), float(data.rates[k]) * tau))
-        result = max_weight_b_matching(edges, caps, gamma, engine=self.engine)
+        result = max_weight_b_matching(edges, caps, gamma)
         owner = np.full(gamma, -1, dtype=np.int64)
         for sensor, slot in result.pairs:
             owner[slot] = sensor
@@ -77,7 +73,6 @@ def online_maxmatch(
     instance: DataCollectionInstance,
     gamma: int,
     fixed_power: Optional[float] = None,
-    engine: Engine = "flow",
 ) -> OnlineResult:
     """Run the full ``Online_MaxMatch`` tour.
 
@@ -89,8 +84,6 @@ def online_maxmatch(
         Probe-interval length ``Γ`` in slots.
     fixed_power:
         ``P'`` in watts; auto-detected when ``None``.
-    engine:
-        Matching engine for the per-interval solves.
 
     Returns
     -------
@@ -107,5 +100,5 @@ def online_maxmatch(
             # Nothing can ever transmit: run the framework anyway so the
             # message accounting (all-empty intervals) stays meaningful.
             fixed_power = 1.0
-    scheduler = MatchingIntervalScheduler(fixed_power=fixed_power, engine=engine)
+    scheduler = MatchingIntervalScheduler(fixed_power=fixed_power)
     return run_online(instance, gamma, scheduler)

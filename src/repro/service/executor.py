@@ -181,7 +181,7 @@ class JobExecutor:
     def _merge_worker_metrics(self, future: Future) -> None:
         """Fold a finished solve's worker-side registry dump into the
         parent registry, so ``/metrics`` reflects solver-phase costs
-        (knapsack/matching/mcmf/gap timers and counters) — worker
+        (knapsack/matching/gap timers and counters) — worker
         processes cannot record into the parent directly."""
         if future.cancelled() or future.exception() is not None:
             return

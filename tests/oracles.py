@@ -1,11 +1,18 @@
-"""Scalar reference oracles for the array-native solver core.
+"""Reference oracles for the solver core.
 
-Each function here is a deliberately naive, loop-based re-implementation
-of a vectorised production routine.  They exist so the equivalence suite
-(:mod:`tests.test_array_equivalence`) can assert that the numpy forms
-are *bit-identical* to the scalar semantics they replaced — same
-selections, same IEEE-754 accumulation order, same error behaviour —
-not merely "close".
+Most functions here are deliberately naive, loop-based
+re-implementations of a vectorised production routine.  They exist so
+the equivalence suite (:mod:`tests.test_array_equivalence`) can assert
+that the numpy forms are *bit-identical* to the scalar semantics they
+replaced — same selections, same IEEE-754 accumulation order, same
+error behaviour — not merely "close".
+
+The matching references at the bottom are independent formulations of
+Section VI: a successive-shortest-path min-cost flow
+(:class:`MinCostFlow`, :func:`b_matching_flow_oracle`) and the paper's
+literal node-copies graph G′ (:func:`build_copies_graph`).  The tests
+check :func:`repro.core.matching.max_weight_b_matching` and
+``Offline_MaxMatch`` against them.
 
 Keep these boring: single code path, plain Python floats, nested loops.
 Any cleverness added here defeats their purpose as references.
@@ -13,8 +20,11 @@ Any cleverness added here defeats their purpose as references.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from collections import deque
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,11 +32,18 @@ import numpy as np
 from repro.core.allocation import _BUDGET_EPS, UNASSIGNED, Allocation
 from repro.core.gap import GapInstance, KnapsackSolver
 from repro.core.instance import DataCollectionInstance
+from repro.core.matching import MatchingResult, max_weight_b_matching
+from repro.core.offline_maxmatch import fixed_power_of
 
 __all__ = [
     "knapsack_few_weights_oracle",
     "local_ratio_gap_oracle",
     "allocation_stats_oracle",
+    "MinCostFlow",
+    "b_matching_flow_oracle",
+    "CopiesGraph",
+    "build_copies_graph",
+    "maxmatch_via_copies",
 ]
 
 
@@ -257,3 +274,296 @@ def allocation_stats_oracle(
                 f"{energy[sensor] - budgets[sensor]:.3e} J"
             )
     return collected, energy, bits, problems
+
+
+# ----------------------------------------------------------------------
+# Min-cost max-flow: successive shortest augmenting paths
+# ----------------------------------------------------------------------
+_INF = float("inf")
+#: Paths costlier than -_COST_EPS are considered non-improving.
+_COST_EPS = 1e-9
+
+
+class MinCostFlow:
+    """A directed flow network solved by successive shortest paths.
+
+    Nodes are integers ``0 .. num_nodes-1``; edges are added with
+    :meth:`add_edge` (a reverse residual edge is created automatically).
+    Initial potentials come from one Bellman–Ford (SPFA) pass, so
+    negative edge costs (negated profits) are handled exactly; every
+    augmentation then runs Dijkstra on reduced costs.
+    """
+
+    def __init__(self, num_nodes: int):
+        if num_nodes < 1:
+            raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
+        self.num_nodes = num_nodes
+        self._head: List[List[int]] = [[] for _ in range(num_nodes)]
+        self._to: List[int] = []
+        self._cap: List[float] = []
+        self._cost: List[float] = []
+
+    def add_edge(self, u: int, v: int, capacity: float, cost: float) -> int:
+        """Add ``u → v`` with the given capacity and per-unit cost.
+
+        Returns the edge id (even ids are forward edges; ``id ^ 1`` is
+        the residual reverse edge).
+        """
+        if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
+            raise ValueError(f"edge ({u}, {v}) outside node range")
+        if capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {capacity}")
+        eid = len(self._to)
+        self._head[u].append(eid)
+        self._to.append(v)
+        self._cap.append(float(capacity))
+        self._cost.append(float(cost))
+        self._head[v].append(eid + 1)
+        self._to.append(u)
+        self._cap.append(0.0)
+        self._cost.append(-float(cost))
+        return eid
+
+    def flow_on(self, edge_id: int) -> float:
+        """Current flow on a forward edge (= residual cap of its twin)."""
+        if edge_id % 2 != 0:
+            raise ValueError("flow_on expects a forward edge id")
+        return self._cap[edge_id ^ 1]
+
+    def _initial_potentials(self, source: int) -> List[float]:
+        """Bellman–Ford (SPFA) distances from ``source`` over residual
+        edges with positive capacity; tolerates negative costs."""
+        dist = [_INF] * self.num_nodes
+        dist[source] = 0.0
+        in_queue = [False] * self.num_nodes
+        queue: deque = deque([source])
+        in_queue[source] = True
+        relaxations = 0
+        limit = self.num_nodes * len(self._to) + 1
+        while queue:
+            u = queue.popleft()
+            in_queue[u] = False
+            for eid in self._head[u]:
+                if self._cap[eid] <= 0:
+                    continue
+                v = self._to[eid]
+                nd = dist[u] + self._cost[eid]
+                if nd < dist[v] - 1e-15:
+                    dist[v] = nd
+                    relaxations += 1
+                    if relaxations > limit:
+                        raise RuntimeError("negative cycle detected in flow network")
+                    if not in_queue[v]:
+                        queue.append(v)
+                        in_queue[v] = True
+        return dist
+
+    def _dijkstra(
+        self, source: int, potentials: List[float]
+    ) -> Tuple[List[float], List[int]]:
+        """Shortest reduced-cost distances + predecessor edge ids."""
+        dist = [_INF] * self.num_nodes
+        pred_edge = [-1] * self.num_nodes
+        dist[source] = 0.0
+        heap: List[Tuple[float, int]] = [(0.0, source)]
+        visited = [False] * self.num_nodes
+        while heap:
+            d, u = heapq.heappop(heap)
+            if visited[u]:
+                continue
+            visited[u] = True
+            for eid in self._head[u]:
+                if self._cap[eid] <= 0:
+                    continue
+                v = self._to[eid]
+                if visited[v]:
+                    continue
+                # Reduced costs are >= 0 up to rounding; clamp tiny noise.
+                reduced = max(self._cost[eid] + potentials[u] - potentials[v], 0.0)
+                nd = d + reduced
+                if nd < dist[v] - 1e-15:
+                    dist[v] = nd
+                    pred_edge[v] = eid
+                    heapq.heappush(heap, (nd, v))
+        return dist, pred_edge
+
+    def solve(
+        self,
+        source: int,
+        sink: int,
+        max_flow: Optional[float] = None,
+        only_negative_paths: bool = False,
+    ) -> Tuple[float, float]:
+        """Push flow from ``source`` to ``sink``; return ``(flow, cost)``.
+
+        ``max_flow`` stops after that much flow (default: saturate).
+        ``only_negative_paths`` stops as soon as the next augmenting path
+        would have non-negative *true* cost — the stopping rule that
+        turns min-cost flow into *maximum-weight* matching.
+        """
+        if source == sink:
+            raise ValueError("source and sink must differ")
+        potentials = self._initial_potentials(source)
+        if potentials[sink] == _INF:
+            return 0.0, 0.0
+        # Unreachable nodes keep potential 0; they can never be on a path.
+        potentials = [p if p < _INF else 0.0 for p in potentials]
+        total_flow = 0.0
+        total_cost = 0.0
+        remaining = _INF if max_flow is None else float(max_flow)
+        while remaining > 0:
+            dist, pred_edge = self._dijkstra(source, potentials)
+            if dist[sink] == _INF:
+                break
+            # True path cost = reduced distance + potential difference.
+            path_cost = dist[sink] + potentials[sink] - potentials[source]
+            if only_negative_paths and path_cost >= -_COST_EPS:
+                break
+            bottleneck = remaining
+            v = sink
+            while v != source:
+                eid = pred_edge[v]
+                bottleneck = min(bottleneck, self._cap[eid])
+                v = self._to[eid ^ 1]
+            v = sink
+            while v != source:
+                eid = pred_edge[v]
+                self._cap[eid] -= bottleneck
+                self._cap[eid ^ 1] += bottleneck
+                v = self._to[eid ^ 1]
+            total_flow += bottleneck
+            total_cost += bottleneck * path_cost
+            remaining -= bottleneck
+            # Johnson update keeps reduced costs non-negative.
+            potentials = [
+                p + d if d < _INF else p for p, d in zip(potentials, dist)
+            ]
+        return total_flow, total_cost
+
+
+def b_matching_flow_oracle(
+    edges: Sequence[Tuple[int, int, float]],
+    left_capacities: Sequence[int],
+    num_right: int,
+) -> MatchingResult:
+    """Reference for :func:`repro.core.matching.max_weight_b_matching`.
+
+    Compact min-cost flow source → left (cap ``c_i``) → right (cap 1) →
+    sink with edge costs ``-w``, stopped at the first non-improving
+    augmenting path.  Non-positive edges are skipped; parallel edges are
+    all added (the flow uses the heaviest).
+    """
+    num_left = len(left_capacities)
+    source = num_left + num_right
+    sink = source + 1
+    net = MinCostFlow(sink + 1)
+    for i, cap in enumerate(left_capacities):
+        if cap > 0:
+            net.add_edge(source, i, float(cap), 0.0)
+    kept = [(int(u), int(v), float(w)) for u, v, w in edges if w > 1e-12]
+    edge_ids = [net.add_edge(u, num_left + v, 1.0, -w) for u, v, w in kept]
+    for j in range(num_right):
+        net.add_edge(num_left + j, sink, 1.0, 0.0)
+    net.solve(source, sink, only_negative_paths=True)
+    pairs = set()
+    weight = 0.0
+    for (u, v, w), eid in zip(kept, edge_ids):
+        if net.flow_on(eid) > 0.5:
+            pairs.add((u, v))
+            weight += w
+    return MatchingResult(tuple(sorted(pairs)), weight)
+
+
+# ----------------------------------------------------------------------
+# Section VI's literal node-copies graph G′
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class CopiesGraph:
+    """The explicit bipartite graph
+    ``G' = ({x_i^{(k)} | x_i ∈ X, 1 ≤ k ≤ n_i'} ∪ Y, E')``.
+
+    ``copy_owner[c]`` is the sensor owning copy node ``c``;
+    ``copy_counts`` holds ``n_i'`` per sensor; ``edges`` holds
+    ``(copy, slot, r_{i,j}·τ)`` with one edge copy per node copy.
+    """
+
+    copy_owner: np.ndarray
+    copy_counts: np.ndarray
+    edges: Tuple[Tuple[int, int, float], ...]
+    num_slots: int
+
+    @property
+    def num_copies(self) -> int:
+        """Total number of copy nodes ``Σ n_i'``."""
+        return int(self.copy_owner.shape[0])
+
+    def to_networkx(self):
+        """Export G′ as a :class:`networkx.Graph` (bipartite attribute
+        0 = copies, 1 = slots)."""
+        import networkx as nx
+
+        g = nx.Graph()
+        for c in range(self.num_copies):
+            g.add_node(("copy", c), bipartite=0, sensor=int(self.copy_owner[c]))
+        for j in range(self.num_slots):
+            g.add_node(("slot", j), bipartite=1)
+        for c, j, w in self.edges:
+            g.add_edge(("copy", c), ("slot", j), weight=w)
+        return g
+
+
+def build_copies_graph(
+    instance: DataCollectionInstance,
+    fixed_power: Optional[float] = None,
+    gamma: Optional[int] = None,
+) -> CopiesGraph:
+    """Construct G′ exactly as Section VI describes.
+
+    ``n_i' = min(⌊R/(r_s·τ)⌋, |[i_s', i_e']|, ⌊P(v_i)/(P'·τ)⌋)``; the
+    first term is ``gamma`` (``None`` omits it, as in the offline
+    whole-tour reduction).  Unreachable sensors contribute no copies.
+    """
+    if fixed_power is None:
+        fixed_power = fixed_power_of(instance)
+    tau = instance.slot_duration
+    per_slot_energy = fixed_power * tau
+    copy_counts: List[int] = []
+    copy_owner: List[int] = []
+    edges: List[Tuple[int, int, float]] = []
+    for i, data in enumerate(instance.sensors):
+        if data.window is None:
+            copy_counts.append(0)
+            continue
+        count = min(data.num_slots, math.floor(data.budget / per_slot_energy + 1e-12))
+        if gamma is not None:
+            count = min(count, gamma)
+        count = max(count, 0)
+        copy_counts.append(count)
+        first_copy = len(copy_owner)
+        copy_owner.extend([i] * count)
+        for k, slot in enumerate(data.slot_indices().tolist()):
+            rate = float(data.rates[k])
+            if rate > 0:
+                for c in range(count):
+                    edges.append((first_copy + c, slot, rate * tau))
+    return CopiesGraph(
+        copy_owner=np.asarray(copy_owner, dtype=np.int64),
+        copy_counts=np.asarray(copy_counts, dtype=np.int64),
+        edges=tuple(edges),
+        num_slots=instance.num_slots,
+    )
+
+
+def maxmatch_via_copies(
+    instance: DataCollectionInstance, fixed_power: Optional[float] = None
+) -> Allocation:
+    """``Offline_MaxMatch`` through the literal G′: every copy is a
+    unit-capacity left node of a plain maximum-weight matching."""
+    graph = build_copies_graph(instance, fixed_power)
+    result = max_weight_b_matching(graph.edges, [1] * graph.num_copies, graph.num_slots)
+    owner = np.full(instance.num_slots, -1, dtype=np.int64)
+    for copy, slot in result.pairs:
+        owner[slot] = int(graph.copy_owner[copy])
+    allocation = Allocation(owner)
+    allocation.check_feasible(instance)
+    return allocation

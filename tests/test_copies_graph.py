@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.copies_graph import build_copies_graph, maxmatch_via_copies
 from repro.core.offline_maxmatch import offline_maxmatch
 from tests.conftest import make_instance, random_instance
+from tests.oracles import build_copies_graph, maxmatch_via_copies
 
 
 def fixed_instance(rng, **kwargs):

@@ -11,6 +11,7 @@ from repro.core.offline_maxmatch import (
     offline_maxmatch,
 )
 from tests.conftest import make_instance, random_instance
+from tests.test_matching import ENGINES, SOLVERS
 
 
 def fixed_instance(rng, **kwargs):
@@ -103,13 +104,17 @@ class TestEdges:
 
 
 class TestOptimality:
-    @pytest.mark.parametrize("engine", ["flow", "lsa", "lp"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_matches_brute_force(self, rng, engine):
+        """``Offline_MaxMatch``, and its matching solved by each solver
+        directly, reach the brute-force optimum."""
         for _ in range(12):
             inst = fixed_instance(rng, num_slots=8, num_sensors=3, max_window=5)
             opt = brute_force_optimum(inst).collected_bits(inst)
-            got = offline_maxmatch(inst, engine=engine).collected_bits(inst)
-            assert got == pytest.approx(opt)
+            edges, caps = build_matching_edges(inst, fixed_power=0.3)
+            matched = SOLVERS[engine](edges, caps, inst.num_slots).weight
+            assert matched == pytest.approx(opt)
+            assert offline_maxmatch(inst).collected_bits(inst) == pytest.approx(opt)
 
     def test_feasible(self, rng):
         for _ in range(10):

@@ -1,19 +1,33 @@
 """Online_Appro and Online_MaxMatch behaviour."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.core.exact import brute_force_optimum
+from repro.core.matching import _prepare, _solve_lp, _solve_lsa
 from repro.core.offline_appro import offline_appro
-from repro.core.offline_maxmatch import offline_maxmatch
+from repro.core.offline_maxmatch import build_matching_edges, offline_maxmatch
 from repro.online.online_appro import online_appro
 from repro.online.online_maxmatch import MatchingIntervalScheduler, online_maxmatch
 from repro.sim.scenario import ScenarioConfig
 from tests.conftest import make_instance, random_instance
+from tests.oracles import b_matching_flow_oracle
+
+# The package re-exports a function of the same name as this module.
+online_maxmatch_module = importlib.import_module("repro.online.online_maxmatch")
 
 
 def fixed_instance(rng, **kwargs):
     return random_instance(rng, fixed_power=0.3, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def paper_scale():
+    """The paper's scale: n = 600 at fixed power 0.3 W, seed 7."""
+    scenario = ScenarioConfig(num_sensors=600, fixed_power=0.3).build(seed=7)
+    return scenario.instance(), scenario.gamma
 
 
 class TestOnlineAppro:
@@ -95,13 +109,35 @@ class TestOnlineMaxMatch:
         manual = online_maxmatch(inst, 4, fixed_power=0.3).collected_bits
         assert auto == pytest.approx(manual)
 
-    def test_engine_equivalence(self, rng):
-        inst = fixed_instance(rng, num_slots=16, num_sensors=5)
-        flow = online_maxmatch(inst, 4, engine="flow").collected_bits
-        lp = online_maxmatch(inst, 4, engine="lp").collected_bits
-        lsa = online_maxmatch(inst, 4, engine="lsa").collected_bits
-        assert flow == pytest.approx(lp)
-        assert flow == pytest.approx(lsa)
+    def test_engine_equivalence(self, paper_scale, monkeypatch):
+        """At paper scale every per-interval matching weighs exactly what
+        the min-cost-flow reference's does."""
+        instance, gamma = paper_scale
+        weights = []
+        solve = online_maxmatch_module.max_weight_b_matching
+
+        def recording(edges, caps, num_right):
+            result = solve(edges, caps, num_right)
+            reference = b_matching_flow_oracle(edges, caps, num_right)
+            weights.append((result.weight, reference.weight))
+            return result
+
+        monkeypatch.setattr(online_maxmatch_module, "max_weight_b_matching", recording)
+        online_maxmatch(instance, gamma, fixed_power=0.3)
+        assert len(weights) == instance.num_slots // gamma
+        assert sum(ours > 0 for ours, _ in weights) > len(weights) // 2
+        for ours, reference in weights:
+            assert ours == reference
+
+    def test_offline_solvers_agree_at_paper_scale(self, paper_scale):
+        """The whole-tour matching: LP and assignment reach equal weight."""
+        instance, _ = paper_scale
+        edges, caps = build_matching_edges(instance, 0.3)
+        prepared = _prepare(edges, caps, instance.num_slots)
+        lp = _solve_lp(*prepared, instance.num_slots)
+        lsa = _solve_lsa(*prepared, instance.num_slots)
+        assert lp.weight > 0
+        assert lp.weight == lsa.weight
 
     def test_scheduler_respects_copy_cap(self):
         """n_i' = floor(P/(P' tau)) limits slots per interval."""
