@@ -18,7 +18,8 @@ The pieces (each its own module, composable without HTTP):
   :class:`SolveRequest`, typed :class:`RequestError` 400s;
 * :mod:`repro.service.cache` — :class:`ResultCache`, an LRU keyed on
   :func:`solve_cache_key` (canonical hash of scenario + algorithm +
-  seed) with hit/miss counters in the metrics registry;
+  seed) with hit/miss counters in the metrics registry, which also
+  keeps each deployment's LP bound under :func:`deployment_cache_key`;
 * :mod:`repro.service.executor` — :class:`JobExecutor`, a bounded
   ``ProcessPoolExecutor`` with per-job timeouts, coalescing,
   cancellation and graceful drain;
@@ -39,7 +40,7 @@ or in-process::
     service.shutdown()
 """
 
-from repro.service.cache import ResultCache, solve_cache_key
+from repro.service.cache import ResultCache, deployment_cache_key, solve_cache_key
 from repro.service.executor import (
     Job,
     JobExecutor,
@@ -59,6 +60,7 @@ from repro.service.worker import solve_payload
 __all__ = [
     # cache
     "ResultCache",
+    "deployment_cache_key",
     "solve_cache_key",
     # executor
     "Job",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from repro.planning import PlannerConfig
-from repro.service.cache import solve_cache_key
+from repro.service.cache import deployment_cache_key, solve_cache_key
 from repro.sim.algorithms import requires_fixed_power, resolve_algorithm_name
 from repro.sim.scenario import ScenarioConfig
 
@@ -84,20 +84,31 @@ class SolveRequest:
     seed: Optional[int] = None
     certify: bool = False
 
-    def cache_key(self) -> str:
+    def cache_key(self) -> Optional[str]:
         """Content-addressed cache key of this request (certified and
-        plain solves of the same scenario hash differently)."""
+        plain solves of the same scenario hash differently); ``None``
+        for a seed-less request, which is never cached or coalesced."""
         return solve_cache_key(
             self.config.to_dict(), self.algorithm, self.seed, certify=self.certify
         )
 
-    def payload(self, trace: bool = False) -> dict:
+    def deployment_key(self) -> Optional[str]:
+        """Cache key of this request's deployment LP bound (``None``
+        for a seed-less request)."""
+        return deployment_cache_key(self.config.to_dict(), self.seed)
+
+    def payload(
+        self, trace: bool = False, lp_bound_bits: Optional[float] = None
+    ) -> dict:
         """Picklable worker payload (plain dicts and scalars only).
 
         ``trace=True`` asks the worker to capture solver span events
-        for slow-request trace persistence; like ``certify``, the key
-        is only added when set, so payloads of plain requests are
-        byte-identical to the historical wire shape.
+        for slow-request trace persistence.  ``lp_bound_bits`` hands the
+        worker this deployment's already-known LP bound, so it skips
+        the LP solve; it is server-internal (clients cannot send it).
+        Like ``certify``, each key is only added when set, so payloads
+        of plain requests are byte-identical to the historical wire
+        shape.
         """
         doc = {
             "scenario": self.config.to_dict(),
@@ -108,6 +119,8 @@ class SolveRequest:
             doc["trace"] = True
         if self.certify:
             doc["certify"] = True
+        if lp_bound_bits is not None:
+            doc["lp_bound_bits"] = lp_bound_bits
         return doc
 
 

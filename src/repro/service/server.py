@@ -103,7 +103,8 @@ class PlanningService:
     workers:
         Solver worker processes (``None`` → one per core).
     cache_size:
-        LRU capacity of the result cache (0 disables caching).
+        LRU capacity of the result cache, solve results and deployment
+        LP bounds together (0 disables caching).
     request_timeout:
         Deadline (seconds) for synchronous solves; misses surface as
         :class:`~repro.service.executor.JobTimeoutError` (HTTP 504).
@@ -175,20 +176,31 @@ class PlanningService:
 
     def _submit(self, request) -> Tuple[object, bool]:
         """Submit a parsed request, wiring the job's result into the
-        cache on completion; returns ``(job, created)``."""
-        key = request.cache_key()
-        cache = self.cache
+        cache on completion; returns ``(job, created)``.  A cached LP
+        bound of the request's deployment rides along in the payload,
+        so the worker skips the LP solve."""
+        bound = self.cache.get_bound(request.deployment_key())
+        annotate("lp_bound_reused", bound is not None)
 
-        def _store(future) -> None:
+        def _on_result(future) -> None:
             if not future.cancelled() and future.exception() is None:
-                cache.put(key, _client_result(future.result()))
+                self._store(request, future.result())
 
         return self.executor.submit(
             solve_payload,
-            request.payload(trace=self.trace_enabled),
-            key=key,
-            on_result=_store,
+            request.payload(trace=self.trace_enabled, lp_bound_bits=bound),
+            key=request.cache_key(),
+            on_result=_on_result,
         )
+
+    def _store(self, request, result: dict) -> dict:
+        """Cache a finished solve's client-visible body under the
+        request's key and its LP bound under the deployment's key;
+        returns the body."""
+        clean = _client_result(result)
+        self.cache.put(request.cache_key(), clean)
+        self.cache.put_bound(request.deployment_key(), clean["lp_bound_bits"])
+        return clean
 
     def _persist_trace(self, result: dict, elapsed_s: float) -> Optional[str]:
         """Write a slow request's captured solver spans as Chrome
@@ -244,8 +256,9 @@ class PlanningService:
             with self.registry.timed("service.solve"):
                 result = self.executor.wait(job, timeout=self.request_timeout)
             self._persist_trace(result, time.perf_counter() - started)
-            clean = _client_result(result)
-            self.cache.put(key, clean)
+            # The job's on_result callback may run after wait() returns,
+            # so the result is stored here too.
+            clean = self._store(request, result)
             return {**clean, "cached": False}
 
     def solve_batch(self, doc: object) -> dict:
@@ -277,16 +290,23 @@ class PlanningService:
             annotate("batch_items", len(requests))
             annotate("batch_misses", len(misses))
             if misses:
+                bounds = [
+                    self.cache.get_bound(requests[position].deployment_key())
+                    for position in misses
+                ]
+                annotate("lp_bound_reused", sum(b is not None for b in bounds))
                 payload = {
-                    "items": [requests[position].payload() for position in misses]
+                    "items": [
+                        requests[position].payload(lp_bound_bits=bound)
+                        for position, bound in zip(misses, bounds)
+                    ]
                 }
                 job, _created = self.executor.submit(solve_batch_payload, payload)
                 annotate("job_id", job.id)
                 with self.registry.timed("service.solve"):
                     outcome = self.executor.wait(job, timeout=self.request_timeout)
                 for position, item in zip(misses, outcome["results"]):
-                    clean = _client_result(item)
-                    self.cache.put(requests[position].cache_key(), clean)
+                    clean = self._store(requests[position], item)
                     results[position] = {**clean, "cached": False}
             return {
                 "results": results,
@@ -347,7 +367,8 @@ class PlanningService:
 
     def health(self) -> dict:
         """Liveness document: uptime, queue depth/occupancy, cache
-        occupancy plus cumulative hit/miss totals and hit-rate."""
+        occupancy (with the LP-bound entry count) plus cumulative
+        hit/miss totals and hit-rate."""
         queue = self.executor.stats()
         return {
             "status": "ok",

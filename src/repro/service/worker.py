@@ -5,9 +5,10 @@
 stay importable and take/return only picklable plain data (dicts,
 lists, scalars), because payloads and results cross the process
 boundary.  It rebuilds the scenario from the validated request payload,
-computes the LP upper bound, runs the requested algorithm with
-``mutate=False`` (solves are pure; this is what makes results
-cacheable), and flattens everything into the JSON response body.
+takes the LP upper bound from the payload when the server already holds
+it for this deployment (or solves it otherwise), runs the requested
+algorithm with ``mutate=False`` (solves are pure; this is what makes
+results cacheable), and flattens everything into the JSON response body.
 
 Worker processes have their own process-global registry, so the solve
 runs under a **local recording registry** whose :meth:`~repro.obs.registry.MetricsRegistry.dump`
@@ -26,6 +27,7 @@ client-visible response bodies.
 
 from __future__ import annotations
 
+import time
 from contextlib import ExitStack
 from typing import Dict, List, Optional, Tuple
 
@@ -59,10 +61,26 @@ TRACE_EVENTS_KEY = "trace_events"
 FOLDED_STACKS_KEY = "folded_stacks"
 
 
+def _lp_bound(payload: dict, instance) -> Tuple[float, float]:
+    """``(lp_bound_bits, lp_bound_s)`` of a payload's deployment.
+
+    The bound the server put into the payload under ``lp_bound_bits``
+    is used as is (``lp_bound_s`` = 0.0); otherwise the LP relaxation
+    is solved here and ``lp_bound_s`` is the time it took.
+    """
+    given = payload.get("lp_bound_bits")
+    if given is not None:
+        return float(given), 0.0
+    started = time.perf_counter()
+    bound = float(dcmp_lp_upper_bound(instance))
+    return bound, time.perf_counter() - started
+
+
 def _solve_one(
     scenario: Scenario,
     instance,
     lp_bound_bits: float,
+    lp_bound_s: float,
     config: ScenarioConfig,
     algorithm: str,
     seed: Optional[int],
@@ -74,7 +92,7 @@ def _solve_one(
     :func:`solve_payload` and every item of :func:`solve_batch_payload`
     assemble their client-visible bodies here, so batch item results
     are interchangeable with single-solve results (and their cache
-    entries interoperate).
+    entries interoperate).  ``lp_bound_s`` lands in the profile.
     """
     result = run_tour(
         scenario, get_algorithm(algorithm), mutate=False, instance=instance
@@ -103,7 +121,10 @@ def _solve_one(
         "schedule": [int(owner) for owner in result.allocation.slot_owner],
         "total_energy_spent_j": float(result.total_energy_spent),
         "messages": messages,
-        "profile": {k: float(v) for k, v in result.profile.items()},
+        "profile": {
+            **{k: float(v) for k, v in result.profile.items()},
+            "lp_bound_s": lp_bound_s,
+        },
     }
     if scenario.plan is not None:
         # Summary only (kind, per-sink tour lengths, planner meta) — the
@@ -131,12 +152,14 @@ def solve_payload(payload: dict) -> dict:
 
     ``payload`` is the :meth:`~repro.service.schema.SolveRequest.payload`
     shape: ``{"scenario": <config dict>, "algorithm": <canonical name>,
-    "seed": <int | None>, "trace"?: bool, "certify"?: bool}`` — already
-    validated, so errors here are genuine solver failures (surfaced as
-    500s), not client mistakes.  With ``"certify": true`` the response
-    carries a full solution certificate (constraints (1)-(4) with slack
-    values, LP bound, ratio guarantee) under ``"certificate"``; the
-    already-computed LP bound is reused, so certification adds one
+    "seed": <int | None>, "trace"?: bool, "certify"?: bool,
+    "lp_bound_bits"?: float}`` — already validated, so errors here are
+    genuine solver failures (surfaced as 500s), not client mistakes.
+    A given ``lp_bound_bits`` (the server's cached bound of this
+    deployment) replaces the LP solve.  With ``"certify": true`` the
+    response carries a full solution certificate (constraints (1)-(4)
+    with slack values, LP bound, ratio guarantee) under
+    ``"certificate"``; the LP bound is reused, so certification adds one
     constraint sweep, not a second LP solve.  When the scenario config
     carries a ``planner`` block the response gains a ``"plan"`` summary
     (kind, per-sink tour lengths, planner meta).
@@ -160,10 +183,10 @@ def solve_payload(payload: dict) -> dict:
             stack.enter_context(use_profiler(profiler))
         scenario = config.build(seed=seed)
         instance = scenario.instance()
-        lp_bound_bits = float(dcmp_lp_upper_bound(instance))
+        lp_bound_bits, lp_bound_s = _lp_bound(payload, instance)
         doc = _solve_one(
-            scenario, instance, lp_bound_bits, config, algorithm, seed,
-            want_certificate,
+            scenario, instance, lp_bound_bits, lp_bound_s, config, algorithm,
+            seed, want_certificate,
         )
 
     doc[WORKER_METRICS_KEY] = registry.dump()
@@ -181,11 +204,15 @@ def solve_batch_payload(payload: dict) -> dict:
     exact :func:`solve_payload` shape minus ``trace`` (batches skip
     slow-request capture).  Items are grouped by ``(scenario config,
     seed)``: each distinct deployment is built **once** — topology,
-    DCMP instance, derived arrays and the LP upper bound are all shared
-    across that deployment's algorithms — and each item is then solved
-    by :func:`_solve_one`, so every per-item document is byte-identical
-    to what a single :func:`solve_payload` call would have produced
-    (modulo wall-clock profile numbers).  Results come back in item
+    DCMP instance, derived arrays and the LP upper bound (taken from the
+    group's first item when the server supplied it) are all shared
+    across that deployment's algorithms, and only the item that solved
+    the bound reports a nonzero ``lp_bound_s``.  A seed-less item draws
+    its own random deployment, so it always forms a group of its own.
+    Each item is then solved by :func:`_solve_one`, so every per-item
+    document is byte-identical to what a single :func:`solve_payload`
+    call would have produced (modulo wall-clock profile numbers).
+    Results come back in item
     order.  The whole batch runs under one recording registry whose
     dump travels back under :data:`WORKER_METRICS_KEY` (top level only;
     items carry no internal keys).
@@ -200,23 +227,25 @@ def solve_batch_payload(payload: dict) -> dict:
         )
         for item in items
     ]
-    groups: Dict[Tuple[ScenarioConfig, Optional[int]], List[int]] = {}
+    groups: Dict[Tuple[ScenarioConfig, Optional[int], int], List[int]] = {}
     for position, (config, _, seed, _) in enumerate(parsed):
-        groups.setdefault((config, seed), []).append(position)
+        group = (config, seed, position if seed is None else -1)
+        groups.setdefault(group, []).append(position)
 
     registry = MetricsRegistry()
     results: List[Optional[dict]] = [None] * len(parsed)
     with use_registry(registry):
         registry.inc("batch.groups", len(groups))
         registry.inc("batch.tours", len(parsed))
-        for (config, seed), positions in groups.items():
+        for (config, seed, _), positions in groups.items():
             scenario = config.build(seed=seed)
             instance = scenario.instance()
-            lp_bound_bits = float(dcmp_lp_upper_bound(instance))
+            lp_bound_bits, lp_bound_s = _lp_bound(items[positions[0]], instance)
             for position in positions:
                 _, algorithm, _, want_certificate = parsed[position]
                 results[position] = _solve_one(
-                    scenario, instance, lp_bound_bits, config, algorithm,
-                    seed, want_certificate,
+                    scenario, instance, lp_bound_bits, lp_bound_s, config,
+                    algorithm, seed, want_certificate,
                 )
+                lp_bound_s = 0.0
     return {"results": results, WORKER_METRICS_KEY: registry.dump()}

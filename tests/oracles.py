@@ -7,6 +7,8 @@ that the numpy forms are *bit-identical* to the scalar semantics they
 replaced — same selections, same IEEE-754 accumulation order, same
 error behaviour — not merely "close".
 
+:func:`dcmp_lp_upper_bound_oracle` is the per-pair loop that used to
+assemble the LP relaxation; it keeps the vectorised assembly honest.
 The matching references at the bottom are independent formulations of
 Section VI: a successive-shortest-path min-cost flow
 (:class:`MinCostFlow`, :func:`b_matching_flow_oracle`) and the paper's
@@ -28,6 +30,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from repro.core.allocation import _BUDGET_EPS, UNASSIGNED, Allocation
 from repro.core.gap import GapInstance, KnapsackSolver
@@ -39,6 +43,7 @@ __all__ = [
     "knapsack_few_weights_oracle",
     "local_ratio_gap_oracle",
     "allocation_stats_oracle",
+    "dcmp_lp_upper_bound_oracle",
     "MinCostFlow",
     "b_matching_flow_oracle",
     "CopiesGraph",
@@ -274,6 +279,53 @@ def allocation_stats_oracle(
                 f"{energy[sensor] - budgets[sensor]:.3e} J"
             )
     return collected, energy, bits, problems
+
+
+# ----------------------------------------------------------------------
+# LP relaxation: per-(sensor, slot) assembly loop
+# ----------------------------------------------------------------------
+def dcmp_lp_upper_bound_oracle(instance: DataCollectionInstance) -> float:
+    """Reference for :func:`repro.core.lp.dcmp_lp_upper_bound`.
+
+    Assembles the same LP with a Python loop over every sensor's window
+    and the scalar ``instance.budget_of`` accessor, then solves it with
+    the same HiGHS call.  The variable order (sensor-major, slots
+    ascending) matches the flat pair arrays, so both forms hand HiGHS
+    the identical problem and must return the identical float.
+    """
+    tau = instance.slot_duration
+    profits: List[float] = []
+    costs: List[float] = []
+    var_sensor: List[int] = []
+    var_slot: List[int] = []
+    for i, data in enumerate(instance.sensors):
+        if data.window is None:
+            continue
+        slots = data.slot_indices()
+        for k in np.flatnonzero(data.rates > 0):
+            profits.append(float(data.rates[k]) * tau)
+            costs.append(float(data.powers[k]) * tau)
+            var_sensor.append(i)
+            var_slot.append(int(slots[k]))
+    num_vars = len(profits)
+    if num_vars == 0:
+        return 0.0
+    n = instance.num_sensors
+    t = instance.num_slots
+    rows = np.concatenate(
+        [np.asarray(var_slot, dtype=np.int64), t + np.asarray(var_sensor, dtype=np.int64)]
+    )
+    cols = np.concatenate([np.arange(num_vars), np.arange(num_vars)])
+    data = np.concatenate([np.ones(num_vars), np.asarray(costs)])
+    a_ub = coo_matrix((data, (rows, cols)), shape=(t + n, num_vars)).tocsr()
+    budgets = np.array([instance.budget_of(i) for i in range(n)])
+    b_ub = np.concatenate([np.ones(t), budgets])
+    res = linprog(
+        c=-np.asarray(profits), A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs"
+    )
+    if not res.success:
+        raise RuntimeError(f"DCMP LP relaxation failed: {res.message}")
+    return float(-res.fun)
 
 
 # ----------------------------------------------------------------------

@@ -37,9 +37,12 @@ from repro.service import (
     RequestError,
     ResultCache,
     create_server,
+    deployment_cache_key,
     parse_solve_request,
     solve_cache_key,
+    solve_payload,
 )
+from repro.service.worker import WORKER_METRICS_KEY
 from repro.sim.algorithms import ALGORITHMS, requires_fixed_power
 
 SMALL = {"num_sensors": 30, "path_length": 1500.0}
@@ -816,6 +819,7 @@ class TestCache:
         cache = ResultCache(max_entries=4, registry=MetricsRegistry())
         assert cache.stats() == {
             "entries": 0,
+            "bounds": 0,
             "max_entries": 4,
             "hits": 0,
             "misses": 0,
@@ -983,3 +987,236 @@ class TestSolveBatch:
         status, doc = _request(port, "/v1/solve-batch", "POST", too_many)
         assert status == 400
         assert "items" in doc["error"]
+
+
+# ----------------------------------------------------------------------
+# LP bound reuse across the algorithms of one deployment
+
+SESSION_ALGORITHMS = ("Offline_Appro", "Online_Appro", "Baseline[greedy_profit]")
+
+
+@pytest.fixture()
+def bound_service():
+    """A private one-worker service, so ``lp.calls`` deltas are exact."""
+    service = PlanningService(
+        workers=1, cache_size=64, request_timeout=120.0, registry=MetricsRegistry()
+    )
+    yield service
+    service.shutdown()
+
+
+def _lp_calls(service) -> float:
+    """``lp.calls`` merged into the service registry, read once every
+    finished job's done-callbacks (which merge worker metrics) ran."""
+    deadline = time.monotonic() + 30
+    while service.executor.stats()["active"] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return service.registry.counter("lp.calls")
+
+
+def _job_result(service, job_id):
+    service.executor.wait(service.executor.get(job_id), timeout=120)
+    return service.job_status(job_id)["result"]
+
+
+class TestBoundReuse:
+    def test_session_solves_one_bound_and_matches_independent_solves(
+        self, bound_service
+    ):
+        service = bound_service
+        before = _lp_calls(service)
+        bodies = [
+            _solve_body(seed=81, algorithm=name, certify=True)
+            for name in SESSION_ALGORITHMS
+        ]
+        docs = [service.solve(body) for body in bodies]
+        assert _lp_calls(service) - before == 1
+        assert docs[0]["profile"]["lp_bound_s"] > 0
+        assert [d["profile"]["lp_bound_s"] for d in docs[1:]] == [0.0, 0.0]
+        for body, doc in zip(bodies, docs):
+            independent = solve_payload(parse_solve_request(body).payload())
+            del independent[WORKER_METRICS_KEY]
+            assert doc.pop("cached") is False
+            assert doc.pop("profile").keys() == independent.pop("profile").keys()
+            assert doc == independent  # lp_bound_bits and certificate included
+            assert doc["lp_bound_bits"] == docs[0]["lp_bound_bits"]
+            assert doc["certificate"]["verdict"] == "pass"
+
+    def test_bound_shared_across_solve_batch_and_jobs(self, bound_service):
+        service = bound_service
+        first = service.solve(_solve_body(seed=82))
+        assert first["profile"]["lp_bound_s"] > 0
+        before = _lp_calls(service)
+        batch = service.solve_batch(
+            {"items": [_solve_body(seed=82, algorithm="Baseline[greedy_profit]")]}
+        )
+        [item] = batch["results"]
+        job = service.submit_job(_solve_body(seed=82, algorithm="Online_Appro"))
+        assert job["cached"] is False
+        polled = _job_result(service, job["job_id"])
+        for doc in (item, polled):
+            assert doc["profile"]["lp_bound_s"] == 0.0
+            assert doc["lp_bound_bits"] == first["lp_bound_bits"]
+        assert item["cached"] is False
+        assert _lp_calls(service) == before
+
+        # And the other way round: a batch's bound serves /v1/solve.
+        batch = service.solve_batch({"items": [_solve_body(seed=83)]})
+        solo = service.solve(_solve_body(seed=83, algorithm="Online_Appro"))
+        assert solo["profile"]["lp_bound_s"] == 0.0
+        assert solo["lp_bound_bits"] == batch["results"][0]["lp_bound_bits"]
+        assert _lp_calls(service) == before + 1
+        assert service.health()["cache"]["bounds"] == 2
+
+    def test_batch_group_shares_one_bound(self, bound_service):
+        service = bound_service
+        before = _lp_calls(service)
+        items = [_solve_body(seed=84, algorithm=n) for n in SESSION_ALGORITHMS]
+        results = service.solve_batch({"items": items})["results"]
+        assert _lp_calls(service) - before == 1
+        assert results[0]["profile"]["lp_bound_s"] > 0
+        assert [r["profile"]["lp_bound_s"] for r in results[1:]] == [0.0, 0.0]
+        assert len({r["lp_bound_bits"] for r in results}) == 1
+
+    def test_clear_drops_bounds(self, bound_service):
+        service = bound_service
+        service.solve(_solve_body(seed=85))
+        assert service.cache.stats()["bounds"] == 1
+        service.cache.clear()
+        assert service.cache.stats()["bounds"] == 0
+        doc = service.solve(_solve_body(seed=85, algorithm="Online_Appro"))
+        assert doc["profile"]["lp_bound_s"] > 0
+
+    def test_zero_cache_size_never_reuses_a_bound(self):
+        service = PlanningService(
+            workers=1, cache_size=0, request_timeout=120.0, registry=MetricsRegistry()
+        )
+        try:
+            before = _lp_calls(service)
+            docs = [
+                service.solve(_solve_body(seed=86, algorithm=name))
+                for name in SESSION_ALGORITHMS[:2]
+            ]
+            assert _lp_calls(service) - before == 2
+            assert all(d["profile"]["lp_bound_s"] > 0 for d in docs)
+            assert docs[0]["lp_bound_bits"] == docs[1]["lp_bound_bits"]
+            assert service.health()["cache"]["bounds"] == 0
+        finally:
+            service.shutdown()
+
+    def test_seed_null_solves_are_never_cached_or_bound_shared(self, bound_service):
+        service = bound_service
+        body = _solve_body(seed=None)
+        request = parse_solve_request(body)
+        assert request.cache_key() is None
+        assert request.deployment_key() is None
+        before = _lp_calls(service)
+        docs = [service.solve(body) for _ in range(2)]
+        assert [d["cached"] for d in docs] == [False, False]
+        assert all(d["profile"]["lp_bound_s"] > 0 for d in docs)
+        assert _lp_calls(service) - before == 2
+        # Nor do seed-less batch items share one random deployment.
+        results = service.solve_batch({"items": [body, body]})["results"]
+        assert all(r["profile"]["lp_bound_s"] > 0 for r in results)
+        assert _lp_calls(service) - before == 4
+        assert service.cache.stats()["entries"] == 0
+
+    def test_worker_uses_a_given_bound(self):
+        payload = parse_solve_request(_solve_body(seed=87, certify=True)).payload()
+        solved = solve_payload(payload)
+        reused = solve_payload(dict(payload, lp_bound_bits=solved["lp_bound_bits"]))
+        assert solved[WORKER_METRICS_KEY]["counters"]["lp.calls"] == 1
+        assert "lp.calls" not in reused[WORKER_METRICS_KEY]["counters"]
+        assert reused["profile"]["lp_bound_s"] == 0.0
+        for doc in (solved, reused):
+            del doc[WORKER_METRICS_KEY], doc["profile"]
+        assert reused == solved
+
+    @pytest.mark.parametrize("path", ["/v1/solve", "/v1/jobs"])
+    def test_client_cannot_inject_a_bound(self, served, path):
+        port, _ = served
+        body = _solve_body(seed=88, lp_bound_bits=1.0)
+        status, doc = _request(port, path, "POST", body)
+        assert status == 400
+        assert doc["field"] == "lp_bound_bits"
+        status, doc = _request(port, "/v1/solve-batch", "POST", {"items": [body]})
+        assert status == 400
+        assert doc["field"] == "items[0].lp_bound_bits"
+
+    def test_access_log_and_healthz_report_reuse(self, served):
+        port, _ = served
+        stream = io.StringIO()
+        configure_access_log(stream=stream)
+        try:
+            for rid, name in (
+                ("bound-89-a", "Offline_Appro"),
+                ("bound-89-b", "Online_Appro"),
+            ):
+                status, _, _ = _raw_request(
+                    port,
+                    "/v1/solve",
+                    "POST",
+                    _solve_body(seed=89, algorithm=name),
+                    headers={"X-Request-Id": rid},
+                )
+                assert status == 200
+        finally:
+            _wait_for_log_lines(stream, "bound-89-b")
+            lines = _wait_for_log_lines(stream, "bound-89-")
+            configure_access_log(stream=io.StringIO())
+        entries = {e["request_id"]: e for e in map(json.loads, lines)}
+        assert entries["bound-89-a"]["lp_bound_reused"] is False
+        assert entries["bound-89-b"]["lp_bound_reused"] is True
+        status, health = _request(port, "/healthz")
+        assert health["cache"]["bounds"] >= 1
+
+
+class TestBoundCache:
+    def test_bounds_share_lru_capacity_with_results(self):
+        registry = MetricsRegistry()
+        cache = ResultCache(max_entries=2, registry=registry)
+        cache.put_bound("d1", 1.5)
+        cache.put("r1", {"v": 1})
+        cache.put_bound("d2", 2.5)  # evicts d1
+        assert cache.get_bound("d1") is None
+        assert cache.get_bound("d2") == 2.5
+        assert cache.stats()["entries"] == 2
+        assert cache.stats()["bounds"] == 1
+        # Bound and result keys never collide, and bound lookups are not
+        # result hits or misses.
+        assert registry.counter("service.cache.hit") == 0
+        assert registry.counter("service.cache.miss") == 0
+        assert cache.get("d2") is None
+        for key in ("d3", "d4", "d5"):
+            cache.put_bound(key, 3.0)
+        assert cache.stats()["bounds"] == 2
+        assert cache.get_bound("d2") is None
+
+    def test_clear_and_zero_capacity_drop_bounds(self):
+        cache = ResultCache(max_entries=4, registry=MetricsRegistry())
+        cache.put_bound("d", 1.0)
+        cache.clear()
+        assert cache.get_bound("d") is None
+        disabled = ResultCache(max_entries=0, registry=MetricsRegistry())
+        disabled.put_bound("d", 1.0)
+        assert disabled.get_bound("d") is None
+
+    def test_none_keys_are_never_stored(self):
+        registry = MetricsRegistry()
+        cache = ResultCache(max_entries=4, registry=registry)
+        cache.put(None, {"v": 1})
+        cache.put_bound(None, 1.0)
+        assert cache.get(None) is None
+        assert cache.get_bound(None) is None
+        assert len(cache) == 0
+        assert registry.counter("service.cache.miss") == 0
+
+    def test_deployment_key_ignores_algorithm_and_certify(self):
+        a = parse_solve_request(_solve_body(seed=1, certify=True))
+        b = parse_solve_request(_solve_body(seed=1, algorithm="Online_Appro"))
+        assert a.deployment_key() == b.deployment_key()
+        assert a.cache_key() != b.cache_key()
+        other_seed = parse_solve_request(_solve_body(seed=2))
+        assert a.deployment_key() != other_seed.deployment_key()
+        assert deployment_cache_key({"num_sensors": 10}, None) is None
+        assert solve_cache_key({"num_sensors": 10}, "A", None) is None
